@@ -395,6 +395,13 @@ impl MeetingLedger {
         self.participations.len()
     }
 
+    /// How many leading instances [`MeetingLedger::snapshot`] has sealed:
+    /// their encoding is cached and no later snapshot encodes them again
+    /// (until a topology mutation resets the seal).
+    pub fn sealed_len(&self) -> usize {
+        self.seal.covered()
+    }
+
     /// Wire encoding of one instance — the unit [`MeetingLedger::save_state`],
     /// the seal cache and [`LedgerSnapshot::encode`] must agree on.
     fn encode_instance(inst: &MeetingInstance, out: &mut Vec<u8>) {

@@ -10,32 +10,22 @@
 //!
 //! Decoding is **total and fail-closed**, mirroring the persistence
 //! container: a magic tag rejects foreign bytes, a version byte rejects
-//! future formats, and a trailing FNV-1a checksum over the whole payload
+//! future formats, and a trailing [`checksum64`] over the whole payload
 //! rejects any bit flip — every corruption decodes to `None`, never to a
 //! wrong frame and never to a panic. (Inside the in-process transport a
 //! corrupt frame is impossible; the posture is for the socket backends the
 //! [`BoundaryTransport`](crate::transport::BoundaryTransport) seam admits,
 //! where the bytes really do cross a machine boundary.)
 
-use sscc_runtime::wire::{put_u16, put_u32, put_u64, put_u8, put_varint, Reader, StateCodec};
+use sscc_runtime::wire::{
+    checksum64, put_u16, put_u32, put_u64, put_u8, put_varint, Reader, StateCodec,
+};
 
 /// Magic tag opening every boundary frame.
 pub const FRAME_MAGIC: u16 = 0xD157;
 
 /// Current frame format version.
-pub const FRAME_VERSION: u8 = 1;
-
-/// FNV-1a 64-bit checksum (the same construction the persistence container
-/// uses; duplicated here because `sscc-persist` sits above the core crate
-/// this tier plugs into, so depending on it would be circular).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub const FRAME_VERSION: u8 = 2;
 
 /// One batch of boundary states from shard `from` to shard `to`, committed
 /// at step `step`, carrying per-channel sequence number `seq`.
@@ -59,7 +49,7 @@ pub struct BoundaryFrame<S> {
 }
 
 impl<S: StateCodec> BoundaryFrame<S> {
-    /// Serialize the frame: header, entries, trailing FNV-1a checksum over
+    /// Serialize the frame: header, entries, trailing [`checksum64`] over
     /// everything before it.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(40 + self.entries.len() * 8);
@@ -74,7 +64,7 @@ impl<S: StateCodec> BoundaryFrame<S> {
             put_u32(&mut out, *v as u32);
             s.encode(&mut out);
         }
-        let sum = fnv1a64(&out);
+        let sum = checksum64(&out);
         put_u64(&mut out, sum);
         out
     }
@@ -87,7 +77,7 @@ impl<S: StateCodec> BoundaryFrame<S> {
         }
         let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
         let sum = u64::from_le_bytes(sum_bytes.try_into().ok()?);
-        if fnv1a64(payload) != sum {
+        if checksum64(payload) != sum {
             return None;
         }
         let mut r = Reader::new(payload);
@@ -154,20 +144,12 @@ mod tests {
         assert_eq!(BoundaryFrame::<u32>::decode(&empty.encode()), Some(empty));
     }
 
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
     /// Rewrite the trailing checksum so a deliberately patched payload is
     /// otherwise self-consistent — isolates the header checks from the
     /// checksum check.
     fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
         let n = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..n]);
+        let sum = checksum64(&bytes[..n]);
         bytes[n..].copy_from_slice(&sum.to_le_bytes());
         bytes
     }

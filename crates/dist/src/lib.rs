@@ -47,5 +47,5 @@ pub mod frame;
 pub mod transport;
 
 pub use engine::{DistDrive, DistEngine, MessageStats};
-pub use frame::{fnv1a64, BoundaryFrame, FRAME_MAGIC, FRAME_VERSION};
+pub use frame::{BoundaryFrame, FRAME_MAGIC, FRAME_VERSION};
 pub use transport::{BoundaryTransport, ChannelTransport};

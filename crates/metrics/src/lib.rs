@@ -41,6 +41,4 @@ pub use sscc_core::{
 };
 pub use sweep::{parallel_fold, parallel_map};
 pub use throughput::{measure_throughput, throughput_row, ThroughputOutcome, ThroughputRow};
-pub use waiting::{
-    measure_waiting, waiting_row, LatencyHistogram, LatencySnapshot, WaitingOutcome, WaitingRow,
-};
+pub use waiting::{measure_waiting, waiting_row, LatencyHistogram, WaitingOutcome, WaitingRow};

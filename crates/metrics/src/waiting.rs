@@ -1,6 +1,7 @@
 //! Experiment E7: **waiting time** (Definition 6, Theorem 6) — plus the
-//! exact-quantile [`LatencyHistogram`] the open-loop service benchmarks
-//! report their request→convene sojourn distributions through.
+//! bounded [`LatencyHistogram`] the open-loop service benchmarks report
+//! their request→convene sojourn distributions through (exact quantiles
+//! below 4,096 ticks, memory independent of the number of observations).
 //!
 //! Theorem 6 bounds CC2's waiting time by `O(maxDisc × n)` rounds: after
 //! stabilization a token holder keeps the token for `O(maxDisc)` rounds and
@@ -14,6 +15,7 @@ use crate::sweep::parallel_map;
 use std::sync::Arc;
 
 use sscc_hypergraph::Hypergraph;
+use sscc_runtime::wire;
 
 /// Waiting-time measurement for one run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -75,23 +77,67 @@ pub fn measure_waiting(
     }
 }
 
-/// Sample-exact latency distribution: records every observation and answers
-/// quantile queries by nearest-rank over the sorted samples. At benchmark
-/// sizes (≤ a few hundred thousand sojourns per run) the memory and the
-/// sort-on-query cost are negligible, and the quantiles are *exact* —
-/// important because the CI latency gate rides them, so bucketing error
-/// would either hide regressions or flag phantom ones.
+/// Values below `2^EXACT_BITS` ticks get one bucket each, so every
+/// quantile that lands there is exact. It covers every sojourn and queue
+/// wait the latency benchmarks record (their largest max is under 1,500
+/// ticks).
+const EXACT_BITS: u32 = 12;
+const EXACT_LIMIT: u64 = 1 << EXACT_BITS;
+/// Above [`EXACT_LIMIT`] each octave `[2^k, 2^(k+1))` is split into
+/// `2^SUB_BITS` equal buckets: log-linear, relative width `< 2^-SUB_BITS`.
+const SUB_BITS: u32 = 8;
+
+/// The bucket holding `v`.
+fn bucket_of(v: u64) -> usize {
+    if v < EXACT_LIMIT {
+        return v as usize;
+    }
+    let octave = 63 - v.leading_zeros(); // ≥ EXACT_BITS
+    let sub = (v >> (octave - SUB_BITS)) - (1 << SUB_BITS);
+    EXACT_LIMIT as usize + (((octave - EXACT_BITS) as usize) << SUB_BITS) + sub as usize
+}
+
+/// The smallest and largest value bucket `i` holds
+/// (`i < LatencyHistogram::MAX_BUCKETS`).
+fn bucket_bounds(i: usize) -> (u64, u64) {
+    if i < EXACT_LIMIT as usize {
+        return (i as u64, i as u64);
+    }
+    let j = i - EXACT_LIMIT as usize;
+    let shift = EXACT_BITS + (j >> SUB_BITS) as u32 - SUB_BITS;
+    let sub = (j & ((1 << SUB_BITS) - 1)) as u64;
+    let lo = ((1 << SUB_BITS) + sub) << shift;
+    (lo, lo + ((1 << shift) - 1))
+}
+
+/// Bounded latency distribution with exact quantiles where the service
+/// operates. Values below 4,096 get one bucket each, so nearest-rank
+/// quantiles there are exact — the CI latency gate rides them, and
+/// bucketing error would either hide regressions or flag phantom ones.
+/// Larger values fall in log-linear buckets (256 per octave); a quantile
+/// there reports its bucket's upper bound clamped to the recorded
+/// maximum, so a tail is never under-reported and is over-reported by
+/// less than 1/256 of its value.
 ///
-/// Recording and querying are split: [`LatencyHistogram::record`] is the
-/// `&mut` append path, every query takes `&self` (so a service can expose
-/// read-only stats). One-off queries sort a scratch copy; batch several
-/// through a [`LatencySnapshot`], which sorts once.
-#[derive(Clone, Debug, Default)]
+/// Buckets are allocated up to the highest one touched, so memory follows
+/// the largest value seen, never the number of observations (at most
+/// [`LatencyHistogram::MAX_BUCKETS`] counters). Recording is `O(1)`;
+/// queries walk the buckets and take `&self`, so a running service can
+/// export its stats without copying or sorting anything. The count, the maximum and the
+/// integer sum are tracked exactly. Histograms merge by adding counts.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    samples: Vec<u64>,
+    /// Observations per bucket, up to the highest bucket touched.
+    counts: Vec<u64>,
+    len: u64,
+    sum: u128,
+    max: u64,
 }
 
 impl LatencyHistogram {
+    /// Bucket count once `u64::MAX` has been recorded — the memory bound.
+    pub const MAX_BUCKETS: usize = EXACT_LIMIT as usize + ((64 - EXACT_BITS as usize) << SUB_BITS);
+
     /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
@@ -99,103 +145,128 @@ impl LatencyHistogram {
 
     /// Record one observation (any unit; the service layer records steps).
     pub fn record(&mut self, v: u64) {
-        self.samples.push(v);
+        let i = bucket_of(v);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
+        self.len += 1;
+        self.sum += u128::from(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Add every observation of `other`, as if each had been recorded here.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.len += other.len;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded observations.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len as usize
     }
 
     /// No observations yet?
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len == 0
     }
 
-    /// Nearest-rank quantile: the smallest recorded value `v` such that at
-    /// least `q × len` observations are ≤ `v`. `q` is clamped to `[0, 1]`;
-    /// `quantile(0.5)` is the median, `quantile(1.0)` the maximum. Returns
-    /// `None` on an empty histogram.
-    ///
-    /// Sorts a scratch copy — `O(len log len)` per call. Use
-    /// [`LatencyHistogram::snapshot`] when querying several quantiles.
+    /// Buckets allocated so far (at most [`LatencyHistogram::MAX_BUCKETS`]).
+    pub fn bucket_count(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Nearest-rank quantile: the smallest value `v` such that at least
+    /// `q × len` observations are ≤ `v` — exact below 4,096, else the
+    /// upper bound of `v`'s bucket clamped to [`LatencyHistogram::max`].
+    /// `q` is clamped to `[0, 1]`; `quantile(0.5)` is the median,
+    /// `quantile(1.0)` the maximum. `None` on an empty histogram.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        self.snapshot().quantile(q)
+        if self.len == 0 {
+            return None;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.len as f64).ceil() as u64).clamp(1, self.len);
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Some(bucket_bounds(i).1.min(self.max));
+            }
+        }
+        unreachable!("bucket counts sum to len")
     }
 
     /// Arithmetic mean of the observations (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.len == 0 {
             return 0.0;
         }
-        self.samples.iter().map(|&v| v as f64).sum::<f64>() / self.samples.len() as f64
+        self.sum as f64 / self.len as f64
     }
 
     /// Largest observation.
     pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
+        (self.len > 0).then_some(self.max)
     }
 
-    /// The raw observations, in recording order — the persistence seam
-    /// (checkpointed services serialize these and rebuild with
-    /// [`LatencyHistogram::from_samples`]).
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
+    /// Append the wire encoding: bucket counts (varints, up to the highest
+    /// bucket touched), the maximum and the sum.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        wire::put_varint(out, self.counts.len() as u64);
+        for &c in &self.counts {
+            wire::put_varint(out, c);
+        }
+        wire::put_u64(out, self.max);
+        wire::put_u64(out, self.sum as u64);
+        wire::put_u64(out, (self.sum >> 64) as u64);
     }
 
-    /// Rebuild a histogram from previously recorded observations.
-    pub fn from_samples(samples: Vec<u64>) -> Self {
-        LatencyHistogram { samples }
-    }
-
-    /// Finalize the current contents into an immutable, sorted view. The
-    /// histogram keeps recording independently afterwards.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        LatencySnapshot { sorted }
-    }
-}
-
-/// An immutable, sorted view of a [`LatencyHistogram`] at one instant:
-/// every query is `O(1)` (quantiles index the pre-sorted samples).
-#[derive(Clone, Debug, Default)]
-pub struct LatencySnapshot {
-    sorted: Vec<u64>,
-}
-
-impl LatencySnapshot {
-    /// Number of observations in the snapshot.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// No observations?
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Nearest-rank quantile (see [`LatencyHistogram::quantile`]).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.sorted.is_empty() {
+    /// Decode a histogram written by [`LatencyHistogram::encode`]. `None`
+    /// on truncation or on counts that no sequence of recordings can
+    /// produce: more than [`LatencyHistogram::MAX_BUCKETS`] buckets, an
+    /// empty highest bucket, a count overflow, a maximum outside the
+    /// highest bucket, or a sum outside what the bucket ranges allow.
+    pub fn decode(r: &mut wire::Reader) -> Option<Self> {
+        let buckets = usize::try_from(r.varint()?).ok()?;
+        if buckets > Self::MAX_BUCKETS || buckets > r.remaining() {
             return None;
         }
-        let n = self.sorted.len();
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.sorted[rank - 1])
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
+        let counts = (0..buckets)
+            .map(|_| r.varint())
+            .collect::<Option<Vec<u64>>>()?;
+        let max = r.u64()?;
+        let sum = u128::from(r.u64()?) | (u128::from(r.u64()?) << 64);
+        let mut len = 0u64;
+        let (mut lowest, mut highest) = (0u128, 0u128);
+        for (i, &c) in counts.iter().enumerate() {
+            len = len.checked_add(c)?;
+            let (lo, hi) = bucket_bounds(i);
+            lowest = lowest.checked_add(u128::from(c) * u128::from(lo))?;
+            highest = highest.checked_add(u128::from(c) * u128::from(hi.min(max)))?;
         }
-        self.sorted.iter().map(|&v| v as f64).sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> Option<u64> {
-        self.sorted.last().copied()
+        match counts.last() {
+            None if max == 0 && sum == 0 => {}
+            Some(&c) if c > 0 => {
+                let (lo, hi) = bucket_bounds(counts.len() - 1);
+                if max < lo || max > hi || sum < lowest || sum > highest {
+                    return None;
+                }
+            }
+            _ => return None,
+        }
+        Some(LatencyHistogram {
+            counts,
+            len,
+            sum,
+            max,
+        })
     }
 }
 
@@ -282,19 +353,50 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_a_frozen_view() {
+    fn histogram_codec_roundtrips_and_rejects_impossible_counts() {
         let mut h = LatencyHistogram::new();
-        for v in [4u64, 2, 8, 6] {
+        let mut bytes = Vec::new();
+        h.encode(&mut bytes);
+        assert_eq!(
+            LatencyHistogram::decode(&mut wire::Reader::new(&bytes)),
+            Some(h.clone())
+        );
+        for v in [0u64, 3, 3, 4095, 4096, 70_000, u64::MAX] {
             h.record(v);
         }
-        let snap = h.snapshot();
-        h.record(100); // does not retroactively appear in the snapshot
-        assert_eq!(snap.len(), 4);
-        assert_eq!(snap.quantile(0.5), Some(4));
-        assert_eq!(snap.max(), Some(8));
-        assert!((snap.mean() - 5.0).abs() < 1e-9);
-        assert_eq!(h.max(), Some(100));
-        assert!(LatencySnapshot::default().quantile(0.5).is_none());
+        bytes.clear();
+        h.encode(&mut bytes);
+        let mut r = wire::Reader::new(&bytes);
+        assert_eq!(LatencyHistogram::decode(&mut r), Some(h.clone()));
+        assert!(r.is_empty());
+        for cut in 0..bytes.len() {
+            let mut r = wire::Reader::new(&bytes[..cut]);
+            assert_eq!(LatencyHistogram::decode(&mut r), None, "cut {cut}");
+        }
+        // Hand-built counts: one observation of 5 with a lying max or sum,
+        // and a trailing empty bucket.
+        let forge = |counts: &[u64], max: u64, sum: u64| {
+            let mut b = Vec::new();
+            wire::put_varint(&mut b, counts.len() as u64);
+            for &c in counts {
+                wire::put_varint(&mut b, c);
+            }
+            wire::put_u64(&mut b, max);
+            wire::put_u64(&mut b, sum);
+            wire::put_u64(&mut b, 0);
+            LatencyHistogram::decode(&mut wire::Reader::new(&b))
+        };
+        assert!(forge(&[0, 0, 0, 0, 0, 1], 5, 5).is_some());
+        assert!(
+            forge(&[0, 0, 0, 0, 0, 1], 6, 5).is_none(),
+            "max outside bucket"
+        );
+        assert!(forge(&[0, 0, 0, 0, 0, 1], 5, 4).is_none(), "sum off");
+        assert!(
+            forge(&[0, 0, 0, 0, 0, 1, 0], 5, 5).is_none(),
+            "empty top bucket"
+        );
+        assert!(forge(&[], 1, 0).is_none(), "empty with a max");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ```text
 //! magic    8 bytes   b"SSCCKPT\0"
 //! version  u16       FORMAT_VERSION
-//! checksum u64       FNV-1a 64 over the payload bytes
+//! checksum u64       `wire::checksum64` over the payload bytes
 //! payload:
 //!   algo      str    algorithm label ("cc1" | "cc2" | "cc3" | custom)
 //!   topology  bytes  `topology::encode_topology` blob
@@ -18,7 +18,6 @@
 //! a half-written checkpoint file fails closed instead of restoring a
 //! subtly wrong world.
 
-use crate::fnv1a64;
 use crate::topology::{decode_topology, encode_topology};
 use sscc_core::sim::{Cc1Sim, Cc2Sim, Cc3Sim, Sim};
 use sscc_core::CommitteeAlgorithm;
@@ -33,7 +32,7 @@ pub const MAGIC: [u8; 8] = *b"SSCCKPT\0";
 
 /// Current container format version. Bump on any layout change; decoders
 /// reject versions they do not understand rather than guessing.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Why a checkpoint failed to decode or restore.
 #[derive(Debug)]
@@ -215,8 +214,8 @@ impl Checkpoint {
         self.restore(|_| sscc_core::Cc3::new_cc3(), sscc_token::WaveToken::new)
     }
 
-    /// Serialize to the durable container format (magic, version, FNV-1a 64
-    /// checksum, payload).
+    /// Serialize to the durable container format (magic, version,
+    /// [`wire::checksum64`] checksum, payload).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(self.topology.len() + self.sim.len() + 16);
         wire::put_str(&mut payload, &self.algo);
@@ -226,7 +225,7 @@ impl Checkpoint {
         let mut out = Vec::with_capacity(payload.len() + 18);
         out.extend_from_slice(&MAGIC);
         wire::put_u16(&mut out, FORMAT_VERSION);
-        wire::put_u64(&mut out, fnv1a64(&payload));
+        wire::put_u64(&mut out, wire::checksum64(&payload));
         out.extend_from_slice(&payload);
         out
     }
@@ -244,7 +243,7 @@ impl Checkpoint {
         }
         let expected = r.u64().ok_or(CheckpointError::Truncated)?;
         let payload = r.take(r.remaining()).expect("remaining take");
-        let actual = fnv1a64(payload);
+        let actual = wire::checksum64(payload);
         if actual != expected {
             return Err(CheckpointError::ChecksumMismatch { expected, actual });
         }

@@ -10,20 +10,19 @@
 //!
 //! ```text
 //! magic    4 bytes  b"STRC"
-//! version  u16      1
-//! checksum u64      FNV-1a 64 over the encoded event stream
+//! version  u16      2
+//! checksum u64      `wire::checksum64` over the encoded event stream
 //! count    varint   number of events
 //! events   count ×  (Δstep varint, Δround varint, process varint,
 //!                    action varint)
 //! ```
 
-use crate::fnv1a64;
 use sscc_runtime::prelude::{Trace, TraceEvent};
 use sscc_runtime::wire::{self, Reader};
 use std::fmt;
 
 const MAGIC: [u8; 4] = *b"STRC";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// Why a [`StepTrace`] artifact failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,7 +117,7 @@ impl StepTrace {
         let mut out = Vec::with_capacity(body.len() + 14);
         out.extend_from_slice(&MAGIC);
         wire::put_u16(&mut out, VERSION);
-        wire::put_u64(&mut out, fnv1a64(&body));
+        wire::put_u64(&mut out, wire::checksum64(&body));
         out.extend_from_slice(&body);
         out
     }
@@ -136,7 +135,7 @@ impl StepTrace {
         }
         let expected = r.u64().ok_or(TraceDecodeError::Truncated)?;
         let body = r.take(r.remaining()).expect("remaining take");
-        if fnv1a64(body) != expected {
+        if wire::checksum64(body) != expected {
             return Err(TraceDecodeError::ChecksumMismatch);
         }
         let mut b = Reader::new(body);

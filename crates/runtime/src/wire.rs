@@ -59,6 +59,23 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Open a length-prefixed blob that is encoded in place: writes a
+/// placeholder length and returns its position for [`finish_bytes`].
+/// Together the two write exactly what [`put_bytes`] would, without
+/// encoding the blob into a scratch buffer first.
+pub fn begin_bytes(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    put_u64(out, 0);
+    at
+}
+
+/// Close a blob opened by [`begin_bytes`] at `at`: back-patch its length
+/// with the bytes appended since.
+pub fn finish_bytes(out: &mut [u8], at: usize) {
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Append a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
@@ -94,6 +111,69 @@ pub fn put_opt_u64_slice(out: &mut Vec<u8>, v: &[Option<u64>]) {
     for x in v {
         x.encode(out);
     }
+}
+
+/// Multipliers of the [`checksum64`] lanes and of the final fold: odd, so
+/// multiplying by one is a bijection on `u64`.
+const CHECKSUM_MUL: [u64; 5] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0xD6E8_FEB8_6659_FD93,
+    0xFF51_AFD7_ED55_8CCD,
+];
+
+/// Initial lane states of [`checksum64`].
+const CHECKSUM_SEED: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// One lane step: xor the word in, multiply by an odd constant, fold the
+/// high half down. For a fixed lane state this is a bijection of the word,
+/// and for a fixed word a bijection of the state, so a changed word always
+/// changes the lane from there on.
+#[inline(always)]
+fn checksum_step(h: u64, w: u64, k: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(k);
+    x ^ (x >> 32)
+}
+
+/// The integrity checksum of every durable or wire artifact: checkpoint
+/// containers, service checkpoints, step traces and boundary frames. Not
+/// cryptographic; it guards against truncation, bit rot and torn writes.
+///
+/// Four independent multiply–xor lanes consume the input as little-endian
+/// 8-byte words (word `i` feeds lane `i % 4`), so the lanes' multiply
+/// chains overlap instead of serializing on one accumulator as a
+/// byte-at-a-time hash does. A trailing partial word is zero-padded and
+/// the length is folded into the result, so inputs differing only in
+/// trailing zero bytes still differ. Every lane step and fold step is a
+/// bijection (see `checksum_step`), so any change confined to one word —
+/// in particular any single bit flip — changes the checksum.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = CHECKSUM_SEED;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let w = u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8-byte word"));
+            *lane = checksum_step(*lane, w, CHECKSUM_MUL[i]);
+        }
+    }
+    let mut words = blocks.remainder().chunks(8);
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        let Some(word) = words.next() else { break };
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        *lane = checksum_step(*lane, u64::from_le_bytes(w), CHECKSUM_MUL[i]);
+    }
+    let mut h = (bytes.len() as u64).wrapping_mul(CHECKSUM_MUL[4]);
+    for lane in lanes {
+        h = checksum_step(h, lane, CHECKSUM_MUL[4]);
+    }
+    checksum_step(h, 0, CHECKSUM_MUL[0])
 }
 
 /// A bounds-checked cursor over a byte buffer; every read is total.
@@ -318,6 +398,15 @@ impl<T: StateCodec> StateCodec for Option<T> {
 mod tests {
     use super::*;
 
+    const CHECKSUM_VECTORS: [u64; 6] = [
+        0x1dca_2348_fb8a_6091,
+        0x37c7_10c6_cdc0_628a,
+        0x9590_4949_91cb_ce8a,
+        0xe105_aedb_9d26_b630,
+        0x2403_4e4a_8e57_eff2,
+        0xf0e5_cc08_7c88_6557,
+    ];
+
     #[test]
     fn scalar_roundtrips() {
         let mut out = Vec::new();
@@ -397,6 +486,56 @@ mod tests {
         assert_eq!(bool::decode(&mut r), Some(true));
         assert_eq!(u32::decode(&mut r), Some(7));
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn in_place_blob_matches_put_bytes() {
+        let mut a = Vec::new();
+        put_u8(&mut a, 9);
+        put_bytes(&mut a, b"payload");
+        let mut b = Vec::new();
+        put_u8(&mut b, 9);
+        let at = begin_bytes(&mut b);
+        b.extend_from_slice(b"payload");
+        finish_bytes(&mut b, at);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn checksum64_matches_reference_vectors() {
+        // Pinned outputs: any change to the construction changes every
+        // durable artifact's checksum and must bump their format versions.
+        let inputs: [&[u8]; 6] = [
+            b"",
+            b"a",
+            b"foobar",
+            b"0123456789abcdef0123456789abcdef",
+            b"0123456789abcdef0123456789abcdef0123456789",
+            &[0u8; 64],
+        ];
+        let got: Vec<u64> = inputs.iter().map(|b| checksum64(b)).collect();
+        assert_eq!(got, CHECKSUM_VECTORS);
+    }
+
+    #[test]
+    fn checksum64_catches_every_single_bit_flip() {
+        // Lengths cover whole blocks, spare words and partial tail words.
+        for len in [1usize, 7, 8, 9, 31, 32, 33, 71] {
+            let bytes: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37)).collect();
+            let sum = checksum64(&bytes);
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(checksum64(&flipped), sum, "len {len} byte {i} bit {bit}");
+                }
+            }
+        }
+        // Trailing zero bytes pad the tail word, but the length fold keeps
+        // the inputs apart.
+        assert_ne!(checksum64(b"ab"), checksum64(b"ab\0"));
+        assert_ne!(checksum64(b""), checksum64(&[0u8; 8]));
+        assert_ne!(checksum64(b"ab"), checksum64(b"ba"));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub const SERVICE_MAGIC: [u8; 8] = *b"SSCCSRV\0";
 
 /// Layout version of the service checkpoint blob. Bump on change; restore
 /// rejects versions it does not understand.
-pub const SERVICE_CHECKPOINT_VERSION: u16 = 1;
+pub const SERVICE_CHECKPOINT_VERSION: u16 = 2;
 
 /// Scheduled topology churn: every `period` ticks the service proposes one
 /// seeded pseudo-random [`WorldMutation`](sscc_hypergraph::WorldMutation)
@@ -147,6 +147,20 @@ pub struct LatencySummary {
     pub completed: u64,
 }
 
+/// The summary of a histogram, counting its observations as `completed`
+/// (`None` when empty). Every timed completion records one sojourn, so
+/// for the sojourn histogram that count is `ServiceStats::completed`.
+fn summarize(h: &LatencyHistogram) -> Option<LatencySummary> {
+    Some(LatencySummary {
+        p50: h.quantile(0.50)?,
+        p99: h.quantile(0.99)?,
+        p999: h.quantile(0.999)?,
+        mean: h.mean(),
+        max: h.max()?,
+        completed: h.len() as u64,
+    })
+}
+
 /// A queued request.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
@@ -178,6 +192,8 @@ pub struct CoordinationService<C: CommitteeAlgorithm, TL: TokenLayer> {
     admissions: Vec<(u64, usize)>,
     /// Churn proposals drawn so far (the counter of the proposal stream).
     churn_events: u64,
+    /// Size of the last checkpoint blob: the next one reserves this much.
+    checkpoint_len: usize,
 }
 
 impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
@@ -202,6 +218,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
             poll_buf: Vec::new(),
             admissions: Vec::new(),
             churn_events: 0,
+            checkpoint_len: 0,
         }
     }
 
@@ -397,21 +414,10 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
     }
 
     /// Summarize the sojourn distribution (`None` before any completion).
-    /// Read-only: finalization happens on a snapshot of the histogram, so
+    /// Read-only and `O(buckets)`: queries read the histogram in place, so
     /// stats can be exported from a running (or checkpointed) service.
     pub fn latency_summary(&self) -> Option<LatencySummary> {
-        let snap = self.latency.snapshot();
-        if snap.is_empty() {
-            return None;
-        }
-        Some(LatencySummary {
-            p50: snap.quantile(0.50)?,
-            p99: snap.quantile(0.99)?,
-            p999: snap.quantile(0.999)?,
-            mean: snap.mean(),
-            max: snap.max()?,
-            completed: self.stats.completed,
-        })
+        summarize(&self.latency)
     }
 
     /// Queue-wait (arrival → admission) distribution.
@@ -421,18 +427,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
 
     /// Summarize the queue-wait distribution (`None` before any admission).
     pub fn queue_wait_summary(&self) -> Option<LatencySummary> {
-        let snap = self.queue_wait.snapshot();
-        if snap.is_empty() {
-            return None;
-        }
-        Some(LatencySummary {
-            p50: snap.quantile(0.50)?,
-            p99: snap.quantile(0.99)?,
-            p999: snap.quantile(0.999)?,
-            mean: snap.mean(),
-            max: snap.max()?,
-            completed: snap.len() as u64,
-        })
+        summarize(&self.queue_wait)
     }
 
     /// The admission log (`(tick, professor)` pairs), populated when
@@ -443,34 +438,49 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
     }
 
     /// Freeze the whole service — engine, topology, admission queue,
-    /// in-flight table, stats, latency samples, churn counter and the
+    /// in-flight table, stats, latency histograms, churn counter and the
     /// transport — into one versioned, checksummed blob. A service
     /// restored from it ([`CoordinationService::restore_with`]) continues
     /// **bit-identically**: same admissions, same convenes, same latency
-    /// samples as the uninterrupted original.
+    /// distributions as the uninterrupted original.
+    ///
+    /// The sim is captured through [`Sim::snapshot`], so the terminated
+    /// meeting history is encoded once, when it terminates, and later
+    /// checkpoints copy its sealed bytes (hence `&mut self`: capturing
+    /// advances the ledger's seal). Everything is written straight into
+    /// one buffer sized from the previous checkpoint. The embedded sim
+    /// blob is byte-for-byte what [`Sim::save_state`] writes.
     ///
     /// `None` when any layer refuses to persist: a custom daemon/policy
     /// without codec support, or a live transport (e.g.
     /// [`ChannelSource`](crate::ChannelSource)) — the deterministic
     /// [`TrafficGen`](crate::TrafficGen) persists fine.
-    pub fn checkpoint(&self) -> Option<Vec<u8>>
+    pub fn checkpoint(&mut self) -> Option<Vec<u8>>
     where
-        C::State: StateCodec,
-        TL::State: StateCodec,
+        C::State: Copy + StateCodec,
+        TL::State: Copy + StateCodec,
     {
-        let mut source_blob = Vec::new();
-        if !self.source.save_state(&mut source_blob) {
+        // Headroom over the last size for the history closed since.
+        let mut p = Vec::with_capacity(self.checkpoint_len + self.checkpoint_len / 8);
+        p.extend_from_slice(&SERVICE_MAGIC);
+        wire::put_u16(&mut p, SERVICE_CHECKPOINT_VERSION);
+        let checksum_at = p.len();
+        wire::put_u64(&mut p, 0);
+        let payload_at = p.len();
+
+        let at = wire::begin_bytes(&mut p);
+        if !self.source.save_state(&mut p) {
             return None;
         }
-        let mut sim_blob = Vec::new();
-        if !self.sim.save_state(&mut sim_blob) {
-            return None;
-        }
-        let mut p = Vec::new();
-        let mut topo = Vec::new();
-        sscc_persist::encode_topology(self.sim.h(), &mut topo);
-        wire::put_bytes(&mut p, &topo);
-        wire::put_bytes(&mut p, &sim_blob);
+        wire::finish_bytes(&mut p, at);
+        let snap = self.sim.snapshot()?;
+        let at = wire::begin_bytes(&mut p);
+        sscc_persist::encode_topology(self.sim.h(), &mut p);
+        wire::finish_bytes(&mut p, at);
+        let at = wire::begin_bytes(&mut p);
+        snap.encode(&mut p);
+        wire::finish_bytes(&mut p, at);
+
         // Config.
         wire::put_usize(&mut p, self.cfg.queue_capacity);
         wire::put_usize(&mut p, self.cfg.admit_batch);
@@ -525,9 +535,9 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         wire::put_u64(&mut p, self.stats.queue_depth_sum);
         wire::put_u64(&mut p, self.stats.churn_applied);
         wire::put_u64(&mut p, self.stats.churn_rejected);
-        // Histograms (raw samples — summaries are derived on demand).
-        wire::put_u64_slice(&mut p, self.latency.samples());
-        wire::put_u64_slice(&mut p, self.queue_wait.samples());
+        // Histograms (bucket counts — summaries are derived on demand).
+        self.latency.encode(&mut p);
+        self.queue_wait.encode(&mut p);
         // Admission log.
         wire::put_usize(&mut p, self.admissions.len());
         for &(t, pr) in &self.admissions {
@@ -535,14 +545,11 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
             wire::put_usize(&mut p, pr);
         }
         wire::put_u64(&mut p, self.churn_events);
-        wire::put_bytes(&mut p, &source_blob);
 
-        let mut out = Vec::with_capacity(p.len() + 18);
-        out.extend_from_slice(&SERVICE_MAGIC);
-        wire::put_u16(&mut out, SERVICE_CHECKPOINT_VERSION);
-        wire::put_u64(&mut out, sscc_persist::fnv1a64(&p));
-        out.extend_from_slice(&p);
-        Some(out)
+        let sum = wire::checksum64(&p[payload_at..]);
+        p[checksum_at..payload_at].copy_from_slice(&sum.to_le_bytes());
+        self.checkpoint_len = p.len();
+        Some(p)
     }
 
     /// Thaw a [`CoordinationService::checkpoint`] blob. The topology
@@ -575,10 +582,11 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         }
         let checksum = r.u64()?;
         let payload = r.take(r.remaining())?;
-        if sscc_persist::fnv1a64(payload) != checksum {
+        if wire::checksum64(payload) != checksum {
             return None;
         }
         let mut r = Reader::new(payload);
+        let source_blob = r.bytes()?;
         let mut topo = Reader::new(r.bytes()?);
         let h = Arc::new(sscc_persist::decode_topology(&mut topo)?);
         if !topo.is_empty() {
@@ -654,8 +662,11 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
             churn_applied: r.u64()?,
             churn_rejected: r.u64()?,
         };
-        let latency = LatencyHistogram::from_samples(r.u64_vec()?);
-        let queue_wait = LatencyHistogram::from_samples(r.u64_vec()?);
+        let latency = LatencyHistogram::decode(&mut r)?;
+        let queue_wait = LatencyHistogram::decode(&mut r)?;
+        if latency.len() as u64 != stats.completed {
+            return None;
+        }
         let alen = r.usize()?;
         if alen > r.remaining() {
             return None;
@@ -670,10 +681,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
             admissions.push((t, pr));
         }
         let churn_events = r.u64()?;
-        if !source.restore_state(r.bytes()?) {
-            return None;
-        }
-        if !r.is_empty() {
+        if !r.is_empty() || !source.restore_state(source_blob) {
             return None;
         }
         Some(CoordinationService {
@@ -696,6 +704,7 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
             poll_buf: Vec::new(),
             admissions,
             churn_events,
+            checkpoint_len: bytes.len(),
         })
     }
 
@@ -709,8 +718,8 @@ impl<C: CommitteeAlgorithm, TL: TokenLayer> CoordinationService<C, TL> {
         every: u64,
         mut sink: impl FnMut(u64, Vec<u8>),
     ) where
-        C::State: StateCodec,
-        TL::State: StateCodec,
+        C::State: Copy + StateCodec,
+        TL::State: Copy + StateCodec,
     {
         assert!(every > 0, "zero checkpoint period");
         for _ in 0..ticks {
@@ -885,6 +894,14 @@ mod tests {
         assert!(svc.sim().h().m() >= m0, "grow-only bias never removes");
     }
 
+    /// The embedded `Sim` blob of a service checkpoint.
+    fn sim_section(blob: &[u8]) -> &[u8] {
+        let mut r = Reader::new(&blob[SERVICE_MAGIC.len() + 2 + 8..]);
+        r.bytes().expect("transport section");
+        r.bytes().expect("topology section");
+        r.bytes().expect("sim section")
+    }
+
     #[test]
     fn crash_restore_drill_is_bit_identical() {
         let h = Arc::new(generators::ring(16, 2));
@@ -905,37 +922,74 @@ mod tests {
             cc1_service(Arc::clone(&h), 8, 1, "par1", Box::new(traffic(&h)), cfg).unwrap();
         reference.run(3_000);
 
-        // Drill: run, checkpoint, "crash", restore in a fresh stack, finish.
+        // Drill: run, checkpoint twice around a churn removal, "crash",
+        // restore each checkpoint in a fresh stack, finish.
         let mut svc =
             cc1_service(Arc::clone(&h), 8, 1, "par1", Box::new(traffic(&h)), cfg).unwrap();
-        svc.run(1_234);
-        let blob = svc.checkpoint().expect("whole stack persists");
+        let mut checkpoints = Vec::new();
+        for tick in [1_100, 1_234] {
+            let m = svc.sim().h().m();
+            let applied = svc.stats().churn_applied;
+            svc.run(tick - svc.ticks());
+            if !checkpoints.is_empty() {
+                // The churn proposal at tick 1164 dissolves a committee; the
+                // swap-remove remaps historical edge ids, which resets the
+                // seal the first checkpoint extended.
+                assert!(svc.stats().churn_applied > applied);
+                assert!(svc.sim().h().m() < m, "a committee was dissolved");
+                assert_eq!(svc.sim().ledger().sealed_len(), 0, "the seal was reset");
+            }
+            let blob = svc.checkpoint().expect("whole stack persists");
+            let sealed = svc.sim().ledger().sealed_len();
+            assert!(sealed > 0, "the checkpoint sealed the closed history");
+            let mut flat = Vec::new();
+            assert!(svc.sim().save_state(&mut flat));
+            assert_eq!(sim_section(&blob), &flat[..], "sim blob == save_state");
+            assert_eq!(
+                svc.checkpoint().as_ref(),
+                Some(&blob),
+                "same tick, same bytes"
+            );
+            assert_eq!(
+                svc.sim().ledger().sealed_len(),
+                sealed,
+                "a repeat checkpoint encodes no instance again"
+            );
+            checkpoints.push((tick, blob));
+        }
         drop(svc); // the crash
-        let mut revived =
-            cc1_service_restore(Box::new(traffic(&h)), &blob).expect("restore from blob");
-        revived.run(3_000 - 1_234);
 
-        assert_eq!(revived.ticks(), reference.ticks());
-        assert_eq!(revived.stats(), reference.stats());
-        assert_eq!(revived.admissions(), reference.admissions());
-        assert_eq!(revived.latency_summary(), reference.latency_summary());
-        assert_eq!(revived.queue_wait_summary(), reference.queue_wait_summary());
-        assert_eq!(
-            revived.sim().ledger().instances(),
-            reference.sim().ledger().instances()
-        );
-        assert_eq!(
-            revived.sim().monitor().violations(),
-            reference.sim().monitor().violations()
-        );
-        assert_eq!(revived.sim().steps(), reference.sim().steps());
-        assert_eq!(
-            revived.sim().h(),
-            reference.sim().h(),
-            "churned topology travels"
-        );
+        for (tick, blob) in &checkpoints {
+            let mut revived =
+                cc1_service_restore(Box::new(traffic(&h)), blob).expect("restore from blob");
+            assert_eq!(revived.ticks(), *tick);
+            revived.run(3_000 - tick);
+
+            assert_eq!(revived.ticks(), reference.ticks());
+            assert_eq!(revived.stats(), reference.stats());
+            assert_eq!(revived.admissions(), reference.admissions());
+            assert_eq!(revived.latency_summary(), reference.latency_summary());
+            assert_eq!(revived.queue_wait_summary(), reference.queue_wait_summary());
+            assert_eq!(revived.latency, reference.latency);
+            assert_eq!(revived.queue_wait, reference.queue_wait);
+            assert_eq!(
+                revived.sim().ledger().instances(),
+                reference.sim().ledger().instances()
+            );
+            assert_eq!(
+                revived.sim().monitor().violations(),
+                reference.sim().monitor().violations()
+            );
+            assert_eq!(revived.sim().steps(), reference.sim().steps());
+            assert_eq!(
+                revived.sim().h(),
+                reference.sim().h(),
+                "churned topology travels"
+            );
+        }
 
         // Corrupt blobs fail closed.
+        let blob = &checkpoints[1].1;
         let mut bad = blob.clone();
         let last = bad.len() - 1;
         bad[last] ^= 1;
